@@ -5,8 +5,8 @@
 //! delta is classified into one of four maintenance classes
 //! ([`DeltaClass`]), and the maintenance routine reports exactly which
 //! matrix rows it touched as a [`DirtyRows`] bitset. Downstream consumers
-//! (the definition-level validator, the serving layer's verdict caches) use
-//! the dirty set to re-check only what the edit could have changed.
+//! (the serving layer's verdict caches) use the dirty set to re-check only
+//! what the edit could have changed.
 
 use crate::bitset::FixedBitSet;
 
@@ -139,23 +139,6 @@ impl DirtyRows {
     pub fn ones(&self) -> impl Iterator<Item = usize> + '_ {
         self.bits.ones()
     }
-
-    /// Unions another dirty set into this one (`all` absorbs).
-    pub fn union(&mut self, other: &DirtyRows) {
-        if self.all {
-            return;
-        }
-        if other.all {
-            self.all = true;
-            return;
-        }
-        if other.bits.capacity() > self.bits.capacity() {
-            self.bits.grow(other.bits.capacity());
-        }
-        for bit in other.bits.ones() {
-            self.bits.insert(bit);
-        }
-    }
 }
 
 /// Result of applying one delta to a [`crate::ReachMatrix`] in place.
@@ -193,23 +176,6 @@ mod tests {
         assert_eq!(d.count(), None);
         d.mark(3); // no-op
         assert!(d.is_all());
-
-        let mut clean = DirtyRows::clean(8);
-        clean.mark(1);
-        clean.union(&DirtyRows::all());
-        assert!(clean.is_all());
-    }
-
-    #[test]
-    fn union_merges_bits_across_capacities() {
-        let mut a = DirtyRows::clean(4);
-        a.mark(1);
-        let mut b = DirtyRows::clean(100);
-        b.mark(90);
-        a.union(&b);
-        assert!(a.contains(1));
-        assert!(a.contains(90));
-        assert_eq!(a.count(), Some(2));
     }
 
     #[test]

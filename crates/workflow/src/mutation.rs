@@ -13,10 +13,9 @@
 //!   class allows, reporting exactly which matrix rows changed
 //!   ([`MutationReport`]).
 //!
-//! Downstream caches (the definition-level validator's
-//! `DefinitionIndex`, the serving layer's per-composite verdict caches) key
-//! their entries on the epoch and consume the dirty rows to invalidate only
-//! what an edit could have changed.
+//! Downstream caches (the serving layer's per-composite verdict caches) key
+//! their entries on the epoch and consume each report's dirty rows to
+//! invalidate only what an edit could have changed.
 
 use wolves_graph::{DeltaClass, DirtyRows};
 

@@ -33,8 +33,6 @@ pub struct WorkflowSpec {
     /// snapshot instead of re-walking the adjacency lists each.
     csr: OnceLock<Arc<Csr>>,
     epoch: u64,
-    /// Matrix rows dirtied since the last [`WorkflowSpec::take_dirty`].
-    dirty: DirtyRows,
     log: Vec<SpecDelta>,
     /// Upper bound on retained delta-log entries (see
     /// [`WorkflowSpec::set_delta_log_cap`]).
@@ -61,7 +59,6 @@ impl Clone for WorkflowSpec {
             reach,
             csr,
             epoch: self.epoch,
-            dirty: self.dirty.clone(),
             log: self.log.clone(),
             log_cap: self.log_cap,
         }
@@ -79,7 +76,6 @@ impl WorkflowSpec {
             reach: OnceLock::new(),
             csr: OnceLock::new(),
             epoch: 0,
-            dirty: DirtyRows::clean(0),
             log: Vec::new(),
             log_cap: Self::DELTA_LOG_CAP,
         }
@@ -105,9 +101,6 @@ impl WorkflowSpec {
             reach: OnceLock::new(),
             csr: OnceLock::new(),
             epoch,
-            // a restored spec has no incremental history: consumers must
-            // treat every derived row as dirty until they rebuild
-            dirty: DirtyRows::all(),
             log: Vec::new(),
             log_cap,
         }
@@ -306,21 +299,6 @@ impl WorkflowSpec {
         }
     }
 
-    /// The matrix rows dirtied since the last [`WorkflowSpec::take_dirty`]
-    /// (union over all mutations in between).
-    #[must_use]
-    pub fn dirty_rows(&self) -> &DirtyRows {
-        &self.dirty
-    }
-
-    /// Takes and resets the accumulated dirty-row set. Incremental
-    /// consumers call this once per refresh; the returned set covers every
-    /// mutation since the previous take.
-    pub fn take_dirty(&mut self) -> DirtyRows {
-        let comp_count = self.reach.get().map_or(0, ReachMatrix::comp_count);
-        std::mem::replace(&mut self.dirty, DirtyRows::clean(comp_count))
-    }
-
     fn add_task_mutation(&mut self, task: AtomicTask) -> Result<MutationReport, WorkflowError> {
         if self.by_name.contains_key(&task.name) {
             return Err(WorkflowError::DuplicateTaskName(task.name));
@@ -415,7 +393,6 @@ impl WorkflowSpec {
             epoch: self.epoch,
             kind,
         });
-        self.dirty.union(&dirty);
         MutationReport {
             epoch: self.epoch,
             class,
@@ -643,7 +620,6 @@ mod tests {
         assert_eq!(cloned.delta_log().len(), spec.delta_log().len());
         // the clone answers from the carried-over matrix without a rebuild
         assert!(cloned.reaches(ids[0], ids[3]));
-        assert!(!cloned.dirty_rows().is_clean());
     }
 
     #[test]
@@ -702,7 +678,6 @@ mod tests {
     fn removals_maintain_the_matrix_in_place() {
         let (mut spec, ids) = linear_spec();
         let _ = spec.reachability();
-        let _ = spec.take_dirty();
         // warm CSR snapshot: the removal must reuse it (and invalidate it)
         let snapshot = spec.csr_snapshot();
         let report = spec
@@ -734,7 +709,6 @@ mod tests {
     fn incremental_edge_inserts_keep_the_matrix_live() {
         let (mut spec, ids) = linear_spec();
         let _ = spec.reachability();
-        let _ = spec.take_dirty();
         // a cross edge that changes nothing: t0 already reaches t2
         let report = spec
             .apply(SpecMutation::AddDependency {
@@ -755,11 +729,6 @@ mod tests {
         assert!(!report.dirty.is_clean());
         assert!(spec.reaches(ids[3], ids[1]));
         assert!(spec.reachability().strictly_reachable(ids[2], ids[2]));
-        // accumulated dirt covers both mutations and resets on take
-        assert!(!spec.dirty_rows().is_clean());
-        let taken = spec.take_dirty();
-        assert!(!taken.is_clean());
-        assert!(spec.dirty_rows().is_clean());
     }
 
     #[test]
@@ -818,16 +787,17 @@ mod tests {
         let mut spec = WorkflowSpec::new("fresh");
         let a = spec.add_task(AtomicTask::new("a")).unwrap();
         let b = spec.add_task(AtomicTask::new("b")).unwrap();
-        spec.add_dependency(a, b, DataDependency::unnamed())
+        let report = spec
+            .apply(SpecMutation::AddDependency { from: a, to: b })
             .unwrap();
-        assert!(spec.dirty_rows().is_all());
+        assert!(report.dirty.is_all());
         // first query builds the matrix; later additive edits are tracked
         assert!(spec.reaches(a, b));
-        let _ = spec.take_dirty();
         let c = spec.add_task(AtomicTask::new("c")).unwrap();
-        spec.add_dependency(b, c, DataDependency::unnamed())
+        let report = spec
+            .apply(SpecMutation::AddDependency { from: b, to: c })
             .unwrap();
-        assert!(!spec.dirty_rows().is_all());
+        assert!(!report.dirty.is_all());
         assert!(spec.reaches(a, c));
     }
 }
