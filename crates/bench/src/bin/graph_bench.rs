@@ -22,11 +22,21 @@
 //! `*_rebuild` rows pay a full matrix build per edit — the speedup between
 //! the two is emitted into the mutation JSON alongside the raw rows.
 //!
-//! Each JSON carries a `guard` object that CI greps, both measured at the
-//! ~1941-task grid point and both within-run ratios so they hold across
-//! hosts: removal stays within 10× of insert (mutation JSON), and the
-//! from-scratch Definition 2.1 check (`validator/definition_closure`)
-//! stays within 5× of one matrix build (graph JSON).
+//! Those removals take back edges the closure already implied, so they only
+//! time the still-reachable fast path. `mutation/edge_remove_existing`
+//! times the slow path: it removes, then re-adds, seeded random existing
+//! dependencies of the layered workflow, which re-derives the region above
+//! the removed edge. `mutation/served_edge_pair` runs the same script as
+//! `RemoveEdge` + `AddEdge` requests through an in-memory `WorkflowStore`,
+//! so the two rows price what serving adds to the engine edit. The mutation
+//! workload always includes the ~10k-task point, `--quick` or not.
+//!
+//! Each JSON carries a `guard` object that CI greps, all within-run ratios
+//! so they hold across hosts: removal stays within 10× of insert at the
+//! ~1941-task point (mutation JSON), the from-scratch Definition 2.1 check
+//! (`validator/definition_closure`) stays within 5× of one matrix build at
+//! the same point (graph JSON), and the mutation JSON's `served_guard` keeps
+//! a served edge pair within 4× of the engine pair at the largest point.
 
 use std::collections::HashSet;
 use std::fmt::Write as _;
@@ -39,6 +49,7 @@ use wolves_core::validate::{validate, validate_by_definition};
 use wolves_graph::reach::ReachMatrix;
 use wolves_repo::generate::{layered_workflow, LayeredConfig};
 use wolves_repo::views::topological_block_view;
+use wolves_service::{MutateOp, WorkflowStore};
 use wolves_workflow::{DataDependency, TaskId, WorkflowSpec};
 
 struct Row {
@@ -66,8 +77,9 @@ fn main() {
         .position(|a| a == "--mutation-out")
         .and_then(|i| args.get(i + 1).cloned());
 
-    // quick (CI) keeps the 1920 target so the perf guard always measures
-    // the ~1941-task point; the full grid adds a ~10k-task point
+    // quick (CI) keeps the 1920 target so the perf guards always measure
+    // the ~1941-task point; the full grid adds a ~10k-task point, which the
+    // mutation workload (cheap at every size) always runs
     let targets: Vec<usize> = if quick {
         vec![120, 480, 1920]
     } else {
@@ -129,7 +141,11 @@ fn main() {
     // the mutation workload pays a full matrix rebuild per edit for its
     // *_rebuild rows; only run it when its JSON is actually requested
     if let Some(path) = mutation_out_path {
-        let mutation_rows = mutation_workload(&targets, quick);
+        let mut mutation_targets = targets.clone();
+        if !mutation_targets.contains(&10080) {
+            mutation_targets.push(10080);
+        }
+        let mutation_rows = mutation_workload(&mutation_targets, quick);
         let mutation_json = render_mutation_json(&mutation_rows, quick);
         if let Err(e) = std::fs::write(&path, &mutation_json) {
             eprintln!("cannot write '{path}': {e}");
@@ -174,8 +190,19 @@ fn candidate_edges(spec: &WorkflowSpec, needed: usize) -> Vec<(TaskId, TaskId)> 
     candidates
 }
 
+/// Seeded random dependencies that exist in `spec` — `needed` of them,
+/// repeats allowed, for the remove-then-re-add script.
+fn existing_edges(spec: &WorkflowSpec, needed: usize) -> Vec<(TaskId, TaskId)> {
+    let all: Vec<(TaskId, TaskId)> = spec.dependencies().collect();
+    let mut rng = StdRng::seed_from_u64(0x5EED_ED6E ^ all.len() as u64);
+    (0..needed)
+        .map(|_| all[rng.gen_range(0..all.len())])
+        .collect()
+}
+
 /// The mutation workload: N single-edge inserts and removals per task
-/// count, incremental matrix maintenance vs full rebuild.
+/// count, incremental matrix maintenance vs full rebuild, plus the
+/// remove-then-re-add script at the engine and through the store.
 fn mutation_workload(targets: &[usize], quick: bool) -> Vec<Row> {
     let mut rows = Vec::new();
     for &target in targets {
@@ -267,6 +294,66 @@ fn mutation_workload(targets: &[usize], quick: bool) -> Vec<Row> {
                 ReachMatrix::build(&rebuild_graph).unwrap().node_bound()
             },
         ));
+
+        // the slow removal path: each iteration removes a random existing
+        // dependency (re-deriving the region above it) and re-adds it, so
+        // every iteration starts from the layered workflow again. Region
+        // sizes vary widely between edges, hence the larger sample.
+        let pair_iters = iters.max(40);
+        let script = existing_edges(&spec, pair_iters + 2);
+        let mut graph = spec.graph().clone();
+        let mut matrix = ReachMatrix::build(&graph).unwrap();
+        let mut cursor = 0usize;
+        rows.push(measure(
+            "mutation/edge_remove_existing",
+            tasks,
+            edges,
+            pair_iters,
+            || {
+                let (from, to) = script[cursor];
+                cursor += 1;
+                let edge = graph.find_edge(from, to).expect("existing dependency");
+                graph.remove_edge(edge).unwrap();
+                matrix.remove_edge(&graph, from, to).unwrap();
+                graph
+                    .add_edge_unique(from, to, DataDependency::unnamed())
+                    .unwrap();
+                matrix.insert_edge(from, to).unwrap();
+                matrix.comp_count()
+            },
+        ));
+
+        // the same script as served requests on an in-memory store
+        let view = topological_block_view(&spec, 4, "blocks").expect("layered spec is a DAG");
+        let names: Vec<(String, String)> = script
+            .iter()
+            .map(|&(from, to)| {
+                let name = |task| spec.task(task).expect("known task").name.clone();
+                (name(from), name(to))
+            })
+            .collect();
+        let store = WorkflowStore::new(1);
+        let id = store.register(spec.clone(), Some(view));
+        let mut cursor = 0usize;
+        rows.push(measure(
+            "mutation/served_edge_pair",
+            tasks,
+            edges,
+            pair_iters,
+            || {
+                let (from, to) = names[cursor].clone();
+                cursor += 1;
+                let removal = MutateOp::RemoveEdge {
+                    from: from.clone(),
+                    to: to.clone(),
+                };
+                store.mutate(id, removal).expect("served removal");
+                store
+                    .mutate(id, MutateOp::AddEdge { from, to })
+                    .expect("served re-add")
+                    .epoch as usize
+            },
+        ));
     }
     rows
 }
@@ -278,7 +365,7 @@ fn render_mutation_json(rows: &[Row], quick: bool) -> String {
     let _ = writeln!(out, "  \"benchmark\": \"wolves mutation epochs\",");
     let _ = writeln!(
         out,
-        "  \"workload\": \"single-edge inserts: incremental maintenance vs full rebuild\","
+        "  \"workload\": \"single-edge edits: incremental maintenance vs full rebuild, engine vs served\","
     );
     let _ = writeln!(out, "  \"quick\": {quick},");
     out.push_str("  \"rows\": [\n");
@@ -323,12 +410,26 @@ fn render_mutation_json(rows: &[Row], quick: bool) -> String {
     // CI perf guard: single-edge removal must stay within 10x of insert
     render_guard(
         &mut out,
+        "guard",
         rows,
+        2048,
         ("mutation/edge_insert_incremental", "insert"),
         ("mutation/edge_remove_incremental", "remove"),
         10,
     );
-    out.push_str("}\n");
+    out.push_str(",\n");
+    // CI perf guard: a served remove/re-add pair must stay within 4x of the
+    // same pair at the engine, at the largest (~10k-task) point
+    render_guard(
+        &mut out,
+        "served_guard",
+        rows,
+        usize::MAX,
+        ("mutation/edge_remove_existing", "engine"),
+        ("mutation/served_edge_pair", "served"),
+        4,
+    );
+    out.push_str("\n}\n");
     out
 }
 
@@ -338,13 +439,16 @@ fn median_of(rows: &[Row], workload: &str, tasks: usize) -> Option<f64> {
         .map(|r| r.median_us)
 }
 
-/// Writes a `"guard"` object pinning `numerator ≤ limit × base` at the
-/// ~1941-task point: the largest grid point at or below 2048 tasks, present
-/// in both the quick and the full grid. Each side is a `(row workload, JSON
-/// key)` pair. Writes `"guard": null` when the grid lacks either row.
+/// Writes a `"<key>"` object (no trailing newline) pinning
+/// `numerator ≤ limit × base` at the largest grid point with at most
+/// `max_tasks` tasks: 2048 selects the ~1941-task point, present in both
+/// the quick and the full grid. Each side is a `(row workload, JSON key)`
+/// pair. Writes `null` when the grid lacks either row.
 fn render_guard(
     out: &mut String,
+    key: &str,
     rows: &[Row],
+    max_tasks: usize,
     base: (&str, &str),
     numerator: (&str, &str),
     limit: u32,
@@ -352,7 +456,7 @@ fn render_guard(
     let guard = rows
         .iter()
         .map(|r| r.tasks)
-        .filter(|&t| t <= 2048)
+        .filter(|&t| t <= max_tasks)
         .max()
         .and_then(|tasks| {
             let base_us = median_of(rows, base.0, tasks)?;
@@ -360,11 +464,11 @@ fn render_guard(
             Some((tasks, base_us, numerator_us))
         });
     let Some((tasks, base_us, numerator_us)) = guard else {
-        let _ = writeln!(out, "  \"guard\": null");
+        let _ = write!(out, "  \"{key}\": null");
         return;
     };
     let ratio = numerator_us / base_us.max(f64::MIN_POSITIVE);
-    let _ = writeln!(out, "  \"guard\": {{");
+    let _ = writeln!(out, "  \"{key}\": {{");
     let _ = writeln!(out, "    \"tasks\": {tasks},");
     let _ = writeln!(out, "    \"{}_median_us\": {base_us:.2},", base.1);
     let _ = writeln!(out, "    \"{}_median_us\": {numerator_us:.2},", numerator.1);
@@ -374,7 +478,7 @@ fn render_guard(
         "    \"within_{limit}x\": {}",
         ratio <= f64::from(limit)
     );
-    let _ = writeln!(out, "  }}");
+    let _ = write!(out, "  }}");
 }
 
 fn iterations_for(target: usize, quick: bool) -> usize {
@@ -455,11 +559,13 @@ fn render_json(rows: &[Row], quick: bool) -> String {
     // 5x of one reachability matrix build
     render_guard(
         &mut out,
+        "guard",
         rows,
+        2048,
         ("graph/matrix_build", "matrix_build"),
         ("validator/definition_closure", "definition_closure"),
         5,
     );
-    out.push_str("}\n");
+    out.push_str("\n}\n");
     out
 }

@@ -26,10 +26,11 @@ pub enum DeltaClass {
     LocalRebuild,
     /// The delta shrinks reachability (edge/node removal) but was absorbed
     /// in place: SCC splits are detected on the deleted edge's component
-    /// only, and exactly the rows that could reach the deleted edge's source
-    /// component are re-derived in topological order. Component indices stay
-    /// stable (splits append fresh indices; emptied components become dead
-    /// slots). O(affected × (deg + row words)).
+    /// only, and the rows that could reach the deleted edge's source
+    /// component are re-derived in topological order — for an edge removal
+    /// only those whose component or successor rows changed. Component
+    /// indices stay stable (splits append fresh indices; emptied components
+    /// become dead slots). O(affected × deg + rewritten × row words).
     Decremental,
     /// The delta could not be applied in place: the matrix is discarded and
     /// rebuilt from scratch on next use. O(V + E + V·E/64).

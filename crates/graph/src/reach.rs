@@ -38,9 +38,11 @@
 //! [`ReachMatrix::remove_node`]): SCC splits are detected by re-running
 //! Tarjan on the deleted edge's component only, split parts keep the old
 //! component index for one part and append fresh indices for the rest, and
-//! exactly the rows that could reach the deleted edge's source component
-//! (found by scanning its reachability column — the transposed form of a
-//! reverse BFS) are re-derived in topological order. Cross-component
+//! the rows that could reach the deleted edge's source component (found by
+//! scanning its reachability column — the transposed form of a reverse
+//! BFS) are re-derived in topological order. An edge removal skips every
+//! row of that region whose component and successor rows are unchanged, and
+//! reports as dirty only the rows that really changed. Cross-component
 //! removals with a surviving alternate path are recognised as closure
 //! no-ops without touching any row. The `_csr` variants
 //! ([`ReachMatrix::remove_edge_csr`], [`ReachMatrix::remove_node_csr`])
@@ -349,7 +351,8 @@ impl ReachMatrix {
     /// * otherwise only the rows that could reach the edge's source
     ///   component — found by scanning its reachability column, which is
     ///   exactly the reverse-reachable set over the condensation — are
-    ///   re-derived in topological order;
+    ///   re-derived in topological order, skipping rows whose component
+    ///   and successor rows did not change;
     /// * an intra-component removal re-runs Tarjan on that component's
     ///   members only; if the cycle survives nothing changes, and on a split
     ///   one part keeps the old component index while the rest get fresh
@@ -512,7 +515,7 @@ impl ReachMatrix {
                 });
             }
         }
-        let dirty = self.rederive_region(cf, succ_of);
+        let dirty = self.rederive_region(cf, succ_of, true);
         Ok(DeltaOutcome {
             class: DeltaClass::Decremental,
             dirty,
@@ -528,7 +531,7 @@ impl ReachMatrix {
             .component_index(node)
             .ok_or(GraphError::InvalidNode(node))?;
         self.component_of[node.index()] = usize::MAX;
-        let dirty = self.rederive_region(c, succ_of);
+        let dirty = self.rederive_region(c, succ_of, false);
         Ok(DeltaOutcome {
             class: DeltaClass::Decremental,
             dirty,
@@ -553,10 +556,24 @@ impl ReachMatrix {
     ///    because they hold no bit of any region component.
     /// 4. Rows are rebuilt sinks-first (Tarjan emission order is reverse
     ///    topological), unioning successor rows — successors outside the
-    ///    region contribute their final, untouched rows.
+    ///    region contribute their final, untouched rows. With
+    ///    `skip_unchanged` (edge removals) a part is left verbatim when its
+    ///    members are unchanged, it does not hold the pivot and none of its
+    ///    successor components is dirty: its row is then the same union of
+    ///    the same rows. Node removals must not skip — the removed node's
+    ///    predecessors no longer list it as a successor, so their changed
+    ///    successor set is invisible to the rule.
     ///
-    /// Every region row (and dead slot) is marked dirty.
-    fn rederive_region(&mut self, pivot: usize, succ_of: &SuccFn) -> DirtyRows {
+    /// A row is marked dirty when its words changed, its cyclicity changed,
+    /// or it holds a bit of a component whose member set changed (the bit
+    /// now names other nodes even where the words are equal). Dead slots
+    /// are always dirty.
+    fn rederive_region(
+        &mut self,
+        pivot: usize,
+        succ_of: &SuccFn,
+        skip_unchanged: bool,
+    ) -> DirtyRows {
         let affected = self.rows_reaching(pivot);
         let mut in_region = vec![false; self.comp_count];
         for &c in &affected {
@@ -579,6 +596,7 @@ impl ReachMatrix {
                 consumed[c0] = true;
             }
         }
+        let exact: Vec<bool> = assignment.iter().map(|&c| c != usize::MAX).collect();
         // pass 2: changed groups reuse the smallest unconsumed index among
         // their members' old components; genuinely new groups go fresh
         let mut fresh_needed = 0usize;
@@ -609,6 +627,8 @@ impl ReachMatrix {
             }
         }
         let mut dirty = DirtyRows::clean(self.comp_count);
+        // components whose member set changed, as a row mask
+        let mut remapped = vec![0u64; self.stride];
         // dead slots: affected indices whose members all moved elsewhere (or
         // whose only member was just removed) — zeroed, never reused
         for &c in &affected {
@@ -617,17 +637,24 @@ impl ReachMatrix {
                 self.cyclic.remove(c);
                 self.words[c * self.stride..(c + 1) * self.stride].fill(0);
                 dirty.mark(c);
+                remapped[c / 64] |= 1u64 << (c % 64);
             }
         }
         // apply the assignment before any row math so successor lookups see
         // the final component indices
+        let mut cyclic_flipped = vec![false; parts.len()];
         for (k, part) in parts.iter().enumerate() {
             let c = assignment[k];
+            if !exact[k] {
+                remapped[c / 64] |= 1u64 << (c % 64);
+            }
             for &n in part {
                 self.component_of[n] = c;
             }
             self.comp_size[c] = u32::try_from(part.len()).expect("component size exceeds u32");
-            if part.len() > 1 {
+            let cyclic = part.len() > 1;
+            cyclic_flipped[k] = self.cyclic.contains(c) != cyclic;
+            if cyclic {
                 self.cyclic.insert(c);
             } else {
                 self.cyclic.remove(c);
@@ -635,13 +662,12 @@ impl ReachMatrix {
         }
         // --- row recomputation, sinks first ---
         let mut stamp = vec![usize::MAX; self.comp_count];
+        let mut succ_comps: Vec<usize> = Vec::new();
+        let mut old_row = vec![0u64; self.stride];
         for (k, part) in parts.iter().enumerate() {
             let c = assignment[k];
-            let row_start = c * self.stride;
-            self.words[row_start..row_start + self.stride].fill(0);
-            self.words[row_start + c / 64] |= 1u64 << (c % 64);
+            succ_comps.clear();
             for &m in part {
-                let mut succ_comps: Vec<usize> = Vec::new();
                 succ_of(m, &mut |s| {
                     let Some(&cs) = self.component_of.get(s) else {
                         return;
@@ -652,11 +678,29 @@ impl ReachMatrix {
                     stamp[cs] = k;
                     succ_comps.push(cs);
                 });
-                for cs in succ_comps {
-                    union_rows(&mut self.words, self.stride, c, cs);
-                }
             }
-            dirty.mark(c);
+            if skip_unchanged
+                && exact[k]
+                && c != pivot
+                && !cyclic_flipped[k]
+                && succ_comps.iter().all(|&cs| !dirty.contains(cs))
+            {
+                continue;
+            }
+            let row_start = c * self.stride;
+            old_row.copy_from_slice(&self.words[row_start..row_start + self.stride]);
+            self.words[row_start..row_start + self.stride].fill(0);
+            self.words[row_start + c / 64] |= 1u64 << (c % 64);
+            for &cs in &succ_comps {
+                union_rows(&mut self.words, self.stride, c, cs);
+            }
+            let row = &self.words[row_start..row_start + self.stride];
+            if cyclic_flipped[k]
+                || row != old_row.as_slice()
+                || row.iter().zip(&remapped).any(|(w, m)| w & m != 0)
+            {
+                dirty.mark(c);
+            }
         }
         dirty
     }
@@ -716,23 +760,33 @@ impl ReachMatrix {
 
 /// Iterative Tarjan restricted to a node subset: edges leaving the subset
 /// are ignored. Returns the strongly connected components of the induced
-/// subgraph as lists of node indices. This is the split detector for
-/// intra-component removals — O(|members| + induced edges), independent of
-/// the full graph size.
+/// subgraph as lists of node indices, sinks first. This is the split
+/// detector for intra-component removals and the region decomposition of
+/// the removal slow path — O(|members| + induced edges) plus one dense
+/// index over the node range, with the induced successor lists held flat
+/// (offsets + targets) rather than one allocation per member.
 fn scc_of_subset(members: &[usize], succ_of: &SuccFn) -> Vec<Vec<usize>> {
-    use std::collections::HashMap;
     const UNVISITED: usize = usize::MAX;
-    let local: HashMap<usize, usize> = members.iter().enumerate().map(|(i, &n)| (n, i)).collect();
+    const OUTSIDE: u32 = u32::MAX;
     let n = members.len();
-    // local successor lists materialised once (the callback shape does not
-    // support cursor-style re-entry into a borrowed slice)
-    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
+    let bound = members.iter().max().map_or(0, |&m| m + 1);
+    let mut local = vec![OUTSIDE; bound];
     for (i, &m) in members.iter().enumerate() {
+        local[m] = u32::try_from(i).expect("region exceeds u32 members");
+    }
+    // induced successor lists materialised once (the callback shape does
+    // not support cursor-style re-entry into a borrowed slice): member i's
+    // local successors are targets[offsets[i]..offsets[i + 1]]
+    let mut offsets: Vec<usize> = Vec::with_capacity(n + 1);
+    let mut targets: Vec<u32> = Vec::new();
+    offsets.push(0);
+    for &m in members {
         succ_of(m, &mut |s| {
-            if let Some(&j) = local.get(&s) {
-                succs[i].push(j);
+            if let Some(&j) = local.get(s).filter(|&&j| j != OUTSIDE) {
+                targets.push(j);
             }
         });
+        offsets.push(targets.len());
     }
     let mut index_of = vec![UNVISITED; n];
     let mut low_link = vec![0usize; n];
@@ -752,7 +806,8 @@ fn scc_of_subset(members: &[usize], succ_of: &SuccFn) -> Vec<Vec<usize>> {
         on_stack[root] = true;
         call_stack.push((root, 0));
         while let Some(&mut (v, ref mut cursor)) = call_stack.last_mut() {
-            if let Some(&w) = succs[v].get(*cursor) {
+            if offsets[v] + *cursor < offsets[v + 1] {
+                let w = targets[offsets[v] + *cursor] as usize;
                 *cursor += 1;
                 if index_of[w] == UNVISITED {
                     index_of[w] = next_index;
@@ -1323,6 +1378,75 @@ mod tests {
     }
 
     #[test]
+    fn remove_edge_marks_a_row_whose_bit_changed_meaning() {
+        // b <-> c is one component X; a reaches it through a -> c only.
+        // Removing c -> b splits X: {c} keeps index X, {b} goes fresh. a's
+        // row words ({a, X}) are unchanged, but bit X no longer covers b —
+        // the row must still be reported dirty
+        let mut g: DiGraph<(), ()> = DiGraph::new();
+        let b = g.add_node(());
+        let c = g.add_node(());
+        let a = g.add_node(());
+        g.add_edge(b, c, ()).unwrap();
+        let back = g.add_edge(c, b, ()).unwrap();
+        g.add_edge(a, c, ()).unwrap();
+        let mut m = ReachMatrix::build(&g).unwrap();
+        let ca = m.component_of(a).unwrap();
+        let words_before = m.row_words(ca).to_vec();
+        assert!(m.reachable(a, b));
+        g.remove_edge(back).unwrap();
+        let out = m.remove_edge(&g, c, b).unwrap();
+        assert_eq!(m.row_words(ca), words_before.as_slice());
+        assert!(out.dirty.contains(ca));
+        assert!(!m.reachable(a, b));
+        assert_matches_fresh_build(&m, &g);
+    }
+
+    #[test]
+    fn remove_edge_marks_a_row_whose_cycle_broke() {
+        // a -> b, then an incremental insert b -> a merges the two
+        // singleton components (identical rows, both flagged cyclic).
+        // Removing b -> a leaves a's words ({a, b}) unchanged, but a no
+        // longer strictly reaches itself: its row must be dirty
+        let mut g: DiGraph<(), ()> = DiGraph::new();
+        let a = g.add_node(());
+        let b = g.add_node(());
+        g.add_edge(a, b, ()).unwrap();
+        let mut m = ReachMatrix::build(&g).unwrap();
+        g.add_edge(b, a, ()).unwrap();
+        m.insert_edge(b, a).unwrap();
+        assert!(m.strictly_reachable(a, a));
+        let ca = m.component_of(a).unwrap();
+        let words_before = m.row_words(ca).to_vec();
+        let edge = g.find_edge(b, a).unwrap();
+        g.remove_edge(edge).unwrap();
+        let out = m.remove_edge(&g, b, a).unwrap();
+        assert_eq!(m.row_words(ca), words_before.as_slice());
+        assert!(!m.strictly_reachable(a, a));
+        assert!(out.dirty.contains(ca));
+        assert_matches_fresh_build(&m, &g);
+    }
+
+    #[test]
+    fn remove_node_cuts_its_predecessors_reachability() {
+        // p -> n -> s: once n is gone p's row keeps its members and loses
+        // nothing among its successors' rows, yet it must lose s
+        let mut g: DiGraph<(), ()> = DiGraph::new();
+        let p = g.add_node(());
+        let n = g.add_node(());
+        let s = g.add_node(());
+        g.add_edge(p, n, ()).unwrap();
+        g.add_edge(n, s, ()).unwrap();
+        let mut m = ReachMatrix::build(&g).unwrap();
+        g.remove_node(n).unwrap();
+        let out = m.remove_node(&g, n).unwrap();
+        assert!(!m.reachable(p, s));
+        assert!(out.dirty.contains(m.component_of(p).unwrap()));
+        assert!(!out.dirty.contains(m.component_of(s).unwrap()));
+        assert_matches_fresh_build(&m, &g);
+    }
+
+    #[test]
     fn remove_node_leaves_a_dead_slot() {
         let (mut g, n) = diamond();
         let mut m = ReachMatrix::build(&g).unwrap();
@@ -1599,6 +1723,36 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+
+        /// On a DAG every component is a singleton that keeps its index,
+        /// so the dirty set of an edge removal is exactly the set of rows
+        /// whose words changed — no skipped row changed, no recomputed
+        /// row is reported without a change.
+        #[test]
+        fn prop_dag_removal_dirty_is_exactly_the_changed_rows(
+            g in arbitrary_dag(24),
+            removals in proptest::collection::vec(0usize..64, 1..12)
+        ) {
+            let mut g = g;
+            let mut m = ReachMatrix::build(&g).unwrap();
+            for pick in removals {
+                let existing: Vec<_> = g.edge_ids().collect();
+                if existing.is_empty() {
+                    break;
+                }
+                let edge = existing[pick % existing.len()];
+                let (from, to) = g.edge_endpoints(edge).unwrap();
+                let before = m.clone();
+                g.remove_edge(edge).unwrap();
+                let out = m.remove_edge(&g, from, to).unwrap();
+                prop_assert_eq!(m.comp_count(), before.comp_count());
+                for c in 0..m.comp_count() {
+                    let changed = before.row_words(c) != m.row_words(c);
+                    prop_assert_eq!(out.dirty.contains(c), changed);
+                }
+                assert_matches_fresh_build(&m, &g);
             }
         }
 

@@ -80,12 +80,25 @@ mod tests {
     }
 
     #[test]
-    fn make_mut_does_not_clone_when_unshared() {
+    fn make_mut_clones_a_shared_arc_and_edits_a_unique_one_in_place() {
         let cell = SnapshotCell::new(String::from("state"));
         let mut next = cell.load();
-        // two references exist (cell + next): make_mut clones...
+        // shared (the cell holds it too): make_mut clones, and the
+        // published value is untouched
         Arc::make_mut(&mut next).push('!');
+        assert!(!Arc::ptr_eq(&next, &cell.load()));
+        assert_eq!(*cell.load(), "state");
+        // `next` is unique now: make_mut edits it in place
+        let before = Arc::as_ptr(&next);
+        Arc::make_mut(&mut next).push('?');
+        assert_eq!(Arc::as_ptr(&next), before);
+        // a snapshot the publish retired is unique once no reader holds
+        // it: the store's spare spec relies on this to skip the clone
+        let mut retired = cell.load();
         cell.publish(next);
-        assert_eq!(*cell.load(), "state!");
+        let before = Arc::as_ptr(&retired);
+        Arc::make_mut(&mut retired).push('#');
+        assert_eq!(Arc::as_ptr(&retired), before);
+        assert_eq!(*cell.load(), "state!?");
     }
 }

@@ -4,7 +4,7 @@
 //! state lives behind a copy-on-write `SnapshotCell`: readers (`validate`,
 //! `provenance`, `export`, `stats`) atomically grab an `Arc` of the current
 //! immutable shard state and never block behind mutation work; mutators
-//! serialise on a per-shard mutex, build the next state via `Arc::make_mut`,
+//! serialise on a per-shard mutex, build the next state off to the side,
 //! persist it, publish it as a single pointer swap — and then fan the change
 //! out to `watch` subscribers (see [`WorkflowStore::watch`]). Caching is
 //! **composite-granular and keyed by mutation epoch**:
@@ -25,11 +25,17 @@
 //!   view graph (e.g. edges added inside one composite).
 //!
 //! Corrections still append the corrected view as a new immutable version.
-//! Mutations clone the entry copy-on-write off the published snapshot, so
-//! in-flight readers keep a consistent pre-mutation state for as long as
-//! they hold it. Task additions/removals rebase the workflow: older view
-//! versions would no longer partition the task set, so the version history
-//! is truncated to the (updated) current view.
+//! Mutations never write to a spec a reader can see. A spec edit lands on
+//! the shard's *spare*: the spec the previous edit retired, caught up by
+//! replaying the one edit it missed — so an edit loop costs two engine
+//! edits, not a deep clone of the spec and its dense reachability matrix.
+//! The spare is used only once no reader holds it any more; otherwise, and
+//! on the first edit of a workflow, the published spec is cloned
+//! (`wolves_spec_clones_total`). In-flight readers keep a consistent
+//! pre-mutation state for as long as they hold it. Task additions/removals
+//! rebase the workflow: older view versions would no longer partition the
+//! task set, so the version history is truncated to the (updated) current
+//! view.
 //!
 //! **Durability** is layered behind [`StorageBackend`]: the default
 //! [`MemoryBackend`] keeps today's in-memory behaviour at zero cost, while
@@ -49,7 +55,7 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc, OnceLock};
+use std::sync::{mpsc, Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock};
@@ -65,7 +71,8 @@ use wolves_workflow::persist::{
     view_from_lines, view_to_lines,
 };
 use wolves_workflow::{
-    CompositeTaskId, SpecDelta, SpecMutation, TaskId, WorkflowSpec, WorkflowView,
+    CompositeTaskId, MutationReport, SpecDelta, SpecMutation, TaskId, WorkflowError, WorkflowSpec,
+    WorkflowView,
 };
 
 use crate::epoch::SnapshotCell;
@@ -184,7 +191,9 @@ impl StoredView {
 /// One registered workflow: the spec, its view versions and the mutation
 /// epoch keying every cache entry. Cloning is cheap (`Arc` handles plus
 /// counters) — it is what `Arc::make_mut` pays per entry when a mutator
-/// clones the shard state copy-on-write.
+/// clones the shard state copy-on-write. A mutation then swaps in a new
+/// `spec` `Arc` (see `edit_spec`) instead of writing through the shared
+/// one.
 #[derive(Debug, Clone)]
 struct Entry {
     spec: Arc<WorkflowSpec>,
@@ -241,6 +250,9 @@ struct ShardMetrics {
     mutations_decremental: AtomicU64,
     mutations_structural: AtomicU64,
     mutations_view_edit: AtomicU64,
+    /// Spec edits that had to clone a spec (no trailing spare, or a reader
+    /// still held the one it had), exposed as `wolves_spec_clones_total`.
+    spec_clones: AtomicU64,
     /// Per-verb latency histograms; the `stats` wire field `validate_ns`
     /// is derived from the validate histogram's sum (the old lossy summed
     /// counter is gone).
@@ -284,6 +296,25 @@ struct Watcher {
     sender: SyncSender<WatchEvent>,
 }
 
+/// The spec a shard's last spec edit retired, one edit behind the
+/// published spec it trails. Once no reader holds it, the next spec edit
+/// of the same workflow replays the missed edit onto it and applies its
+/// own, in place — so an edit loop pays the engine edit twice instead of
+/// a deep clone of the spec and its dense reachability matrix (see
+/// [`edit_spec`]). One spare per shard: an edit to another workflow of the
+/// shard replaces it.
+#[derive(Debug)]
+struct Spare {
+    workflow: u64,
+    spec: Arc<WorkflowSpec>,
+    /// The published spec this spare trails. Weak, so it keeps no spec
+    /// alive, and its allocation cannot be reused by another spec while
+    /// the spare compares against it.
+    trails: Weak<WorkflowSpec>,
+    /// The edit the trailed spec holds and this one misses.
+    missed: SpecMutation,
+}
+
 #[derive(Debug)]
 struct Shard {
     /// The published state; readers `load()` it and never take a lock that
@@ -291,8 +322,10 @@ struct Shard {
     state: SnapshotCell<ShardState>,
     /// Serialises all write paths (register, mutate, correct, recovery
     /// installs, watch registration) — the WAL append order is the commit
-    /// order. Readers never touch it.
-    mutator: Mutex<()>,
+    /// order. Readers never touch it. It guards the shard's [`Spare`]: the
+    /// spec the last spec edit retired, which the next edit of the same
+    /// workflow edits in place instead of cloning the published spec.
+    mutator: Mutex<Option<Spare>>,
     /// The watch subscriber registry. Registration additionally holds
     /// `mutator`, so the set of watchers a mutation observes at entry is
     /// exactly the set fan-out will serve at exit — no subscriber can slip
@@ -482,7 +515,7 @@ impl WorkflowStore {
         let shards = (0..backend.shard_count())
             .map(|_| Shard {
                 state: SnapshotCell::new(ShardState::default()),
-                mutator: Mutex::new(()),
+                mutator: Mutex::new(None),
                 watchers: Mutex::new(Vec::new()),
                 degraded: Mutex::new(None),
                 metrics: ShardMetrics::default(),
@@ -1113,9 +1146,10 @@ impl WorkflowStore {
     /// mutator mutex, with composite-granular cache invalidation: only the
     /// cached verdicts whose composites the edit could have changed are
     /// dropped; the rest are re-tagged to the new epoch and keep serving
-    /// hits. The next shard state is built copy-on-write and published
-    /// atomically, so concurrent readers stay on a consistent pre-mutation
-    /// snapshot and never block.
+    /// hits. The next shard state is built off to the side (spec edits on
+    /// the shard's spare spec when it can be reused, see `edit_spec`) and
+    /// published atomically, so concurrent readers stay on a consistent
+    /// pre-mutation snapshot and never block.
     ///
     /// On a durable backend the edit is appended to the shard's write-ahead
     /// log (op + consumed spec deltas) *before* the new state is published
@@ -1214,7 +1248,7 @@ impl WorkflowStore {
         // serialise mutators; readers keep loading the published snapshot.
         // Watch registration also takes this mutex, so the watcher set
         // observed here is exactly the set the fan-out below serves.
-        let mutator = shard.mutator.lock();
+        let mut mutator = shard.mutator.lock();
         shard.writable(index)?;
         let wants_event = record && shard.has_watcher_for(id.0);
         // only durable recording and watch fan-out need the op after the
@@ -1249,6 +1283,10 @@ impl WorkflowStore {
             spec.task_by_name(name)
                 .ok_or_else(|| ServiceError::UnknownTask(name.to_owned()))
         };
+        let spare = &mut *mutator;
+        let mut edit = |entry: &mut Entry, edit: SpecMutation| {
+            edit_spec(spare, id.0, entry, edit, &shard.metrics.spec_clones).map_err(mutation)
+        };
 
         // `truncate`: task-set edits rebase the workflow — older view
         // versions would no longer partition the tasks, so only the updated
@@ -1256,10 +1294,7 @@ impl WorkflowStore {
         let compute_start = Instant::now();
         let (class, affected, provenance_survives, truncate) = match op {
             MutateOp::AddTask { name } => {
-                let spec = Arc::make_mut(&mut entry.spec);
-                let report = spec
-                    .apply(SpecMutation::AddTask { name: name.clone() })
-                    .map_err(mutation)?;
+                let report = edit(entry, SpecMutation::AddTask { name: name.clone() })?;
                 let task = report.task.expect("AddTask reports the created task");
                 let stored = Arc::make_mut(&mut entry.views[entry.current]);
                 let view = Arc::make_mut(&mut stored.view);
@@ -1276,27 +1311,20 @@ impl WorkflowStore {
                 let stored = Arc::make_mut(&mut entry.views[entry.current]);
                 let view = Arc::make_mut(&mut stored.view);
                 view.remove_member(task).map_err(mutation)?;
-                let spec = Arc::make_mut(&mut entry.spec);
-                let report = spec
-                    .apply(SpecMutation::RemoveTask { task })
-                    .map_err(mutation)?;
+                let report = edit(entry, SpecMutation::RemoveTask { task })?;
                 (report.class.name(), Affected::All, false, true)
             }
             MutateOp::AddEdge { from, to } => {
                 let from = resolve_task(&entry.spec, &from)?;
                 let to = resolve_task(&entry.spec, &to)?;
-                let report = Arc::make_mut(&mut entry.spec)
-                    .apply(SpecMutation::AddDependency { from, to })
-                    .map_err(mutation)?;
+                let report = edit(entry, SpecMutation::AddDependency { from, to })?;
                 let (affected, internal) = edge_affected_composites(entry, from, to, &report.dirty);
                 (report.class.name(), affected, internal, false)
             }
             MutateOp::RemoveEdge { from, to } => {
                 let from = resolve_task(&entry.spec, &from)?;
                 let to = resolve_task(&entry.spec, &to)?;
-                let report = Arc::make_mut(&mut entry.spec)
-                    .apply(SpecMutation::RemoveDependency { from, to })
-                    .map_err(mutation)?;
+                let report = edit(entry, SpecMutation::RemoveDependency { from, to })?;
                 // the decremental maintenance reports exactly which
                 // reachability rows shrank, so survivor composites keep
                 // their cached verdicts just like on the insert path; an
@@ -1772,6 +1800,7 @@ impl WorkflowStore {
         let mut active_watchers = 0u64;
         let mut queue_depth = 0u64;
         let mut mutation_classes = [0u64; 5];
+        let mut spec_clones = 0u64;
         for shard in &self.shards {
             workflows += shard.state.load().entries.len() as u64;
             validate_hits += shard.metrics.validate_hits.load(Ordering::Relaxed);
@@ -1785,6 +1814,7 @@ impl WorkflowStore {
             mutation_classes[2] += shard.metrics.mutations_decremental.load(Ordering::Relaxed);
             mutation_classes[3] += shard.metrics.mutations_structural.load(Ordering::Relaxed);
             mutation_classes[4] += shard.metrics.mutations_view_edit.load(Ordering::Relaxed);
+            spec_clones += shard.metrics.spec_clones.load(Ordering::Relaxed);
             snapshot_publishes += shard.state.publish_count();
             let watchers = shard.watchers.lock();
             active_watchers += watchers.len() as u64;
@@ -1838,6 +1868,7 @@ impl WorkflowStore {
                 count,
             );
         }
+        write_sample(&mut out, "wolves_spec_clones_total", &[], spec_clones);
         write_sample(
             &mut out,
             "wolves_snapshot_publishes_total",
@@ -2224,6 +2255,51 @@ fn check_op_serialisable(op: &MutateOp) -> Result<(), ServiceError> {
     }
 }
 
+/// Applies one spec edit to `entry` and swaps the edited spec in; the
+/// spec it replaces becomes the shard's new spare.
+///
+/// When the spare trails `entry`'s published spec and no reader still
+/// holds it, the edit lands on the spare in place: first the replay of the
+/// edit it missed, then this one. Otherwise — first edit, another workflow
+/// edited last, a reader holding the retired snapshot, or a replay that
+/// fails or lands on another epoch — `Arc::make_mut` clones the published
+/// spec, and `clones` counts it.
+///
+/// # Errors
+/// The edit's own failure; the spare is then dropped.
+fn edit_spec(
+    spare: &mut Option<Spare>,
+    workflow: u64,
+    entry: &mut Entry,
+    edit: SpecMutation,
+    clones: &AtomicU64,
+) -> Result<MutationReport, WorkflowError> {
+    let trailing = spare.take().filter(|spare| {
+        spare.workflow == workflow && Weak::ptr_eq(&spare.trails, &Arc::downgrade(&entry.spec))
+    });
+    let caught_up = trailing.and_then(
+        |Spare {
+             mut spec, missed, ..
+         }| {
+            let unique = Arc::get_mut(&mut spec)?;
+            (unique.apply(missed).is_ok() && unique.epoch() == entry.spec.epoch()).then_some(spec)
+        },
+    );
+    let mut spec = caught_up.unwrap_or_else(|| {
+        clones.fetch_add(1, Ordering::Relaxed);
+        Arc::clone(&entry.spec)
+    });
+    let report = Arc::make_mut(&mut spec).apply(edit.clone())?;
+    let retired = std::mem::replace(&mut entry.spec, spec);
+    *spare = Some(Spare {
+        workflow,
+        spec: retired,
+        trails: Arc::downgrade(&entry.spec),
+        missed: edit,
+    });
+    Ok(report)
+}
+
 /// Collects the spec deltas produced since the write-ahead log last
 /// consumed the entry's delta log ([`Entry::logged_epoch`]). The delta log
 /// is bounded ([`WorkflowSpec::set_delta_log_cap`]); because every mutation
@@ -2293,6 +2369,7 @@ fn composite_by_name(view: &WorkflowView, name: &str) -> Result<CompositeTaskId,
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::storage::AppendOutcome;
     use crate::wal::{FileBackend, PersistConfig};
     use wolves_repo::figure1;
 
@@ -2337,6 +2414,320 @@ mod tests {
         }
         observed.push(format!("export:\n{}", store.export(id).unwrap()));
         observed
+    }
+
+    fn remove_edge(from: &str, to: &str) -> MutateOp {
+        MutateOp::RemoveEdge {
+            from: from.to_owned(),
+            to: to.to_owned(),
+        }
+    }
+
+    fn spec_clones(store: &WorkflowStore) -> u64 {
+        store
+            .metrics_text()
+            .lines()
+            .find_map(|line| line.strip_prefix("wolves_spec_clones_total "))
+            .expect("spec clone counter exposed")
+            .parse()
+            .unwrap()
+    }
+
+    #[test]
+    fn spec_clones_count_the_edits_that_cannot_reuse_the_spare() {
+        let store = WorkflowStore::new(1);
+        let fixture = figure1();
+        let a = store.register(fixture.spec.clone(), Some(fixture.view.clone()));
+        let b = store.register(fixture.spec, Some(fixture.view));
+        let (from, to) = ("Check additional annotations", "Build phylo tree");
+        // an edit loop on one workflow clones on its first edit only
+        for _ in 0..3 {
+            store.mutate(a, add_edge(from, to)).unwrap();
+            store.mutate(a, remove_edge(from, to)).unwrap();
+        }
+        assert_eq!(spec_clones(&store), 1);
+        // a reader holding the snapshot an edit retires makes the next
+        // edit clone it — and keeps reading what it read
+        let (held, ..) = store.snapshot(a, None).unwrap();
+        let held_text = spec_to_lines(&held);
+        store.mutate(a, add_edge(from, to)).unwrap();
+        assert_eq!(spec_clones(&store), 1);
+        store.mutate(a, remove_edge(from, to)).unwrap();
+        assert_eq!(spec_clones(&store), 2);
+        assert_eq!(spec_to_lines(&held), held_text);
+        drop(held);
+        // an edit to another workflow of the same shard displaces the
+        // spare, so each switch clones
+        store.mutate(b, add_edge(from, to)).unwrap();
+        assert_eq!(spec_clones(&store), 3);
+        store.mutate(a, add_edge(from, to)).unwrap();
+        assert_eq!(spec_clones(&store), 4);
+        store.mutate(a, remove_edge(from, to)).unwrap();
+        assert_eq!(spec_clones(&store), 4);
+        // view edits never touch the spec
+        let verdict = store.validate(a, None).unwrap();
+        assert!(!verdict.sound);
+        assert_eq!(spec_clones(&store), 4);
+    }
+
+    #[test]
+    fn a_spare_that_cannot_catch_up_is_dropped_for_a_clone() {
+        let fixture = figure1();
+        let from = fixture.task(9);
+        let to = fixture.task(11);
+        let published = Arc::new(fixture.spec);
+        let mut entry = Entry {
+            logged_epoch: published.epoch(),
+            spec: Arc::clone(&published),
+            views: Vec::new(),
+            current: 0,
+            epoch: 0,
+            seq: 0,
+        };
+        let clones = AtomicU64::new(0);
+        let edit = SpecMutation::AddDependency { from, to };
+        // a missed edit that fails to replay, and one that replays onto
+        // another epoch: both fall back to cloning the published spec
+        for missed in [
+            SpecMutation::RemoveDependency { from, to },
+            SpecMutation::AddTask {
+                name: "extra".to_owned(),
+            },
+        ] {
+            entry.spec = Arc::clone(&published);
+            let mut spare = Some(Spare {
+                workflow: 7,
+                spec: Arc::new(WorkflowSpec::clone(&published)),
+                trails: Arc::downgrade(&entry.spec),
+                missed,
+            });
+            let before = clones.load(Ordering::Relaxed);
+            let report = edit_spec(&mut spare, 7, &mut entry, edit.clone(), &clones).unwrap();
+            assert_eq!(clones.load(Ordering::Relaxed), before + 1);
+            assert_eq!(report.epoch, published.epoch() + 1);
+            assert!(entry.spec.reaches(from, to));
+            assert!(entry.spec.task_by_name("extra").is_none());
+            let spare = spare.expect("the replaced spec is the new spare");
+            assert!(Arc::ptr_eq(&spare.spec, &published));
+            assert_eq!(spare.missed, edit);
+        }
+        // a spare of another workflow is never used
+        let mut spare = Some(Spare {
+            workflow: 8,
+            spec: Arc::new(WorkflowSpec::clone(&published)),
+            trails: Arc::downgrade(&entry.spec),
+            missed: edit.clone(),
+        });
+        let before = clones.load(Ordering::Relaxed);
+        // (the published spec already holds the dependency: the edit fails)
+        assert!(edit_spec(&mut spare, 7, &mut entry, edit, &clones).is_err());
+        assert_eq!(clones.load(Ordering::Relaxed), before + 1);
+        assert!(spare.is_none(), "a failed edit leaves no spare");
+    }
+
+    /// A backend that keeps every appended record, so two stores' logs
+    /// can be compared record for record.
+    #[derive(Debug, Default)]
+    struct RecordingBackend {
+        records: Mutex<Vec<WalRecord>>,
+    }
+
+    impl StorageBackend for RecordingBackend {
+        fn durable(&self) -> bool {
+            true
+        }
+
+        fn shard_count(&self) -> usize {
+            1
+        }
+
+        fn append(&self, _shard: usize, record: &WalRecord) -> Result<AppendOutcome, ServiceError> {
+            self.records.lock().push(record.clone());
+            Ok(AppendOutcome::default())
+        }
+
+        fn write_snapshot(
+            &self,
+            _shard: usize,
+            _entries: &[SnapshotEntry],
+        ) -> Result<(), ServiceError> {
+            Ok(())
+        }
+
+        fn take_journal(&self) -> Result<Vec<ShardJournal>, ServiceError> {
+            Ok(vec![ShardJournal::default()])
+        }
+
+        fn sync(&self) -> Result<(), ServiceError> {
+            Ok(())
+        }
+    }
+
+    /// A seeded splitmix64 stream.
+    struct Seeded(u64);
+
+    impl Seeded {
+        fn below(&mut self, bound: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            usize::try_from((z ^ (z >> 31)) % bound as u64).unwrap()
+        }
+    }
+
+    /// A seeded spec of `tasks` tasks with up to two dependencies per task,
+    /// viewed as blocks of three. `cyclic` keeps random orientations, so
+    /// cycles form; otherwise every dependency runs from a lower to a
+    /// higher task id.
+    fn seeded_workflow(
+        rng: &mut Seeded,
+        tasks: usize,
+        cyclic: bool,
+    ) -> (WorkflowSpec, WorkflowView) {
+        use wolves_workflow::{AtomicTask, DataDependency};
+        let mut spec = WorkflowSpec::new("seeded");
+        let ids: Vec<TaskId> = (0..tasks)
+            .map(|i| spec.add_task(AtomicTask::new(format!("t{i}"))).unwrap())
+            .collect();
+        for _ in 0..2 * tasks {
+            let (a, b) = (rng.below(tasks), rng.below(tasks));
+            let (from, to) = if cyclic || a < b { (a, b) } else { (b, a) };
+            if from != to {
+                let _ = spec.add_dependency(ids[from], ids[to], DataDependency::unnamed());
+            }
+        }
+        let groups = ids
+            .chunks(3)
+            .enumerate()
+            .map(|(k, block)| (format!("b{k}"), block.to_vec()))
+            .collect();
+        let view = WorkflowView::from_groups(&spec, "blocks", groups).unwrap();
+        (spec, view)
+    }
+
+    /// The next step of a seeded edit script over `spec`: mostly removals
+    /// of existing and inserts of new dependencies, some task inserts and
+    /// removals, and some edits that fail (duplicate or absent edges).
+    fn next_edit(
+        rng: &mut Seeded,
+        spec: &WorkflowSpec,
+        cyclic: bool,
+        fresh: &mut usize,
+    ) -> MutateOp {
+        let name = |task: TaskId| spec.task(task).unwrap().name.clone();
+        let tasks: Vec<TaskId> = spec.task_ids().collect();
+        let deps: Vec<(TaskId, TaskId)> = spec.dependencies().collect();
+        let pair = |rng: &mut Seeded| {
+            let (a, b) = (tasks[rng.below(tasks.len())], tasks[rng.below(tasks.len())]);
+            if cyclic || a.index() <= b.index() {
+                (a, b)
+            } else {
+                (b, a)
+            }
+        };
+        match rng.below(10) {
+            0..=3 if !deps.is_empty() => {
+                let (from, to) = deps[rng.below(deps.len())];
+                remove_edge(&name(from), &name(to))
+            }
+            0..=6 => {
+                let (from, to) = pair(rng);
+                add_edge(&name(from), &name(to))
+            }
+            7 => {
+                *fresh += 1;
+                MutateOp::AddTask {
+                    name: format!("n{fresh}"),
+                }
+            }
+            8 if tasks.len() > 6 => MutateOp::RemoveTask {
+                name: name(tasks[rng.below(tasks.len())]),
+            },
+            _ => {
+                let (from, to) = pair(rng);
+                remove_edge(&name(from), &name(to))
+            }
+        }
+    }
+
+    /// Everything a reader can learn from one workflow of a shard state:
+    /// its epochs, its spec text and every reachability answer.
+    fn answers(state: &ShardState, id: WorkflowId) -> String {
+        let entry = &state.entries[&id.0];
+        let spec = &entry.spec;
+        let mut out = format!("epoch {} spec {}\n", entry.epoch, spec.epoch());
+        out.push_str(&spec_to_lines(spec).join("\n"));
+        out.push('\n');
+        for u in spec.task_ids() {
+            for v in spec.task_ids() {
+                out.push(if spec.reaches(u, v) { '1' } else { '0' });
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn spare_edits_match_clone_edits_step_for_step() {
+        for (seed, cyclic) in [(1, false), (2, true), (3, false), (4, true)] {
+            let mut rng = Seeded(seed);
+            let (spec, view) = seeded_workflow(&mut rng, 36, cyclic);
+            let spare_log = Arc::new(RecordingBackend::default());
+            let clone_log = Arc::new(RecordingBackend::default());
+            let spare =
+                WorkflowStore::with_backend(Arc::clone(&spare_log) as Arc<dyn StorageBackend>);
+            let cloning =
+                WorkflowStore::with_backend(Arc::clone(&clone_log) as Arc<dyn StorageBackend>);
+            let id = spare.register(spec.clone(), Some(view.clone()));
+            assert_eq!(cloning.register(spec, Some(view)), id);
+            // the cloning store's readers hold every published snapshot
+            // until the edit after next, so every edit must clone
+            let mut held: std::collections::VecDeque<(Arc<ShardState>, String)> =
+                std::collections::VecDeque::new();
+            let (mut fresh, mut failed) = (0, 0u64);
+            for step in 0..150 {
+                let (current, ..) = spare.snapshot(id, None).unwrap();
+                let op = next_edit(&mut rng, &current, cyclic, &mut fresh);
+                drop(current);
+                let state = cloning.shards[0].state.load();
+                let observed = answers(&state, id);
+                held.push_back((state, observed));
+                let outcome = |store: &WorkflowStore| {
+                    store
+                        .mutate_inner(id, op.clone(), true, None, false)
+                        .map(|(mutated, deltas, _)| (mutated, deltas))
+                        .map_err(|e| e.to_string())
+                };
+                let via_spare = outcome(&spare);
+                assert_eq!(
+                    via_spare,
+                    outcome(&cloning),
+                    "seed {seed} step {step}: {op:?}"
+                );
+                failed += u64::from(via_spare.is_err());
+                while held.len() > 2 {
+                    let (state, observed) = held.pop_front().unwrap();
+                    assert_eq!(answers(&state, id), observed, "a held snapshot changed");
+                }
+                assert_eq!(
+                    answers(&spare.shards[0].state.load(), id),
+                    answers(&cloning.shards[0].state.load(), id),
+                    "seed {seed} step {step}: {op:?}"
+                );
+                assert_eq!(
+                    spare.validate(id, None).unwrap(),
+                    cloning.validate(id, None).unwrap()
+                );
+                assert_eq!(spare.export(id).unwrap(), cloning.export(id).unwrap());
+                assert_eq!(*spare_log.records.lock(), *clone_log.records.lock());
+            }
+            let spec_edits = spare_log.records.lock().len() as u64 - 1;
+            assert!(spec_clones(&cloning) >= spec_edits, "seed {seed}");
+            // the spare store clones on its first edit and after each
+            // failed one only
+            assert!(spec_clones(&spare) <= 1 + failed, "seed {seed}");
+            assert!(spec_clones(&spare) * 3 < spec_edits, "seed {seed}");
+        }
     }
 
     #[test]
