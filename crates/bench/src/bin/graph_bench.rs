@@ -1,5 +1,6 @@
 //! Micro-benchmark for the reachability engine: matrix build, all-pairs
-//! row queries, the two validator checks and the **mutation workload**
+//! row queries, the two validator checks, the view provenance index (build,
+//! and 32 stratified subject queries) and the **mutation workload**
 //! (incremental single-edge edits vs from-scratch rebuilds) over a grid of
 //! task counts.
 //!
@@ -37,6 +38,10 @@
 //! (`validator/definition_closure`) stays within 5× of one matrix build at
 //! the same point (graph JSON), and the mutation JSON's `served_guard` keeps
 //! a served edge pair within 4× of the engine pair at the largest point.
+//! The graph JSON's `provenance_guard` keeps one `ViewProvenanceIndex` build
+//! within a quarter of one spec matrix build at the largest point: the index
+//! is the view graph's predecessor lists, so it must stay far cheaper than a
+//! closure over the tasks.
 
 use std::collections::HashSet;
 use std::fmt::Write as _;
@@ -47,6 +52,7 @@ use rand::{Rng, SeedableRng};
 
 use wolves_core::validate::{validate, validate_by_definition};
 use wolves_graph::reach::ReachMatrix;
+use wolves_provenance::ViewProvenanceIndex;
 use wolves_repo::generate::{layered_workflow, LayeredConfig};
 use wolves_repo::views::topological_block_view;
 use wolves_service::{MutateOp, WorkflowStore};
@@ -135,6 +141,33 @@ fn main() {
             edges,
             iters.min(40),
             || usize::from(validate_by_definition(&spec, &view).is_sound()),
+        ));
+        // both provenance rows are cheap next to a matrix build, so they
+        // take a larger sample
+        rows.push(measure(
+            "provenance/index_build",
+            tasks,
+            edges,
+            iters.max(20),
+            || {
+                std::hint::black_box(ViewProvenanceIndex::new(&spec, &view));
+                1
+            },
+        ));
+        let index = ViewProvenanceIndex::new(&spec, &view);
+        let all: Vec<TaskId> = spec.task_ids().collect();
+        let subjects: Vec<TaskId> = (0..32).map(|k| all[k * all.len() / 32]).collect();
+        rows.push(measure(
+            "provenance/view_query",
+            tasks,
+            edges,
+            iters.max(20),
+            || {
+                subjects
+                    .iter()
+                    .map(|&subject| index.provenance(&view, subject).tasks.len())
+                    .sum()
+            },
         ));
     }
 
@@ -415,7 +448,7 @@ fn render_mutation_json(rows: &[Row], quick: bool) -> String {
         2048,
         ("mutation/edge_insert_incremental", "insert"),
         ("mutation/edge_remove_incremental", "remove"),
-        10,
+        (10.0, "within_10x"),
     );
     out.push_str(",\n");
     // CI perf guard: a served remove/re-add pair must stay within 4x of the
@@ -427,7 +460,7 @@ fn render_mutation_json(rows: &[Row], quick: bool) -> String {
         usize::MAX,
         ("mutation/edge_remove_existing", "engine"),
         ("mutation/served_edge_pair", "served"),
-        4,
+        (4.0, "within_4x"),
     );
     out.push_str("\n}\n");
     out
@@ -443,7 +476,8 @@ fn median_of(rows: &[Row], workload: &str, tasks: usize) -> Option<f64> {
 /// `numerator ≤ limit × base` at the largest grid point with at most
 /// `max_tasks` tasks: 2048 selects the ~1941-task point, present in both
 /// the quick and the full grid. Each side is a `(row workload, JSON key)`
-/// pair. Writes `null` when the grid lacks either row.
+/// pair; `limit` is `(factor, verdict key)`, e.g. `(10.0, "within_10x")`.
+/// Writes `null` when the grid lacks either row.
 fn render_guard(
     out: &mut String,
     key: &str,
@@ -451,7 +485,7 @@ fn render_guard(
     max_tasks: usize,
     base: (&str, &str),
     numerator: (&str, &str),
-    limit: u32,
+    limit: (f64, &str),
 ) {
     let guard = rows
         .iter()
@@ -473,11 +507,7 @@ fn render_guard(
     let _ = writeln!(out, "    \"{}_median_us\": {base_us:.2},", base.1);
     let _ = writeln!(out, "    \"{}_median_us\": {numerator_us:.2},", numerator.1);
     let _ = writeln!(out, "    \"{}_over_{}\": {ratio:.2},", numerator.1, base.1);
-    let _ = writeln!(
-        out,
-        "    \"within_{limit}x\": {}",
-        ratio <= f64::from(limit)
-    );
+    let _ = writeln!(out, "    \"{}\": {}", limit.1, ratio <= limit.0);
     let _ = write!(out, "  }}");
 }
 
@@ -564,7 +594,19 @@ fn render_json(rows: &[Row], quick: bool) -> String {
         2048,
         ("graph/matrix_build", "matrix_build"),
         ("validator/definition_closure", "definition_closure"),
-        5,
+        (5.0, "within_5x"),
+    );
+    out.push_str(",\n");
+    // CI perf guard: one provenance index build must stay within a quarter
+    // of one spec matrix build, at the largest (~10k-task) point
+    render_guard(
+        &mut out,
+        "provenance_guard",
+        rows,
+        usize::MAX,
+        ("graph/matrix_build", "matrix_build"),
+        ("provenance/index_build", "index_build"),
+        (0.25, "within_quarter"),
     );
     out.push_str("\n}\n");
     out

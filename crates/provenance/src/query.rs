@@ -8,7 +8,6 @@
 
 use std::collections::BTreeSet;
 
-use wolves_graph::ReachMatrix;
 use wolves_workflow::{CompositeTaskId, TaskId, WorkflowSpec, WorkflowView};
 
 /// Result of a provenance query.
@@ -73,44 +72,103 @@ pub fn workflow_level_impact(spec: &WorkflowSpec, subject: TaskId) -> Provenance
     }
 }
 
-/// A reusable, matrix-backed index answering view-level provenance queries.
+/// A reusable index answering view-level provenance queries.
 ///
 /// [`view_level_provenance`] rebuilds the induced view graph and walks it on
 /// every call; a server answering many queries against the same `(spec,
-/// view)` pair should build this index once and reuse it — each query is
-/// then O(composites) reachability lookups against the view-level
-/// [`ReachMatrix`] plus the member collection, with no per-request graph
-/// construction.
+/// view)` pair should build this index once and reuse it. The index is the
+/// induced view graph as flat predecessor lists over composite slots:
+/// `preds[offsets[c]..offsets[c + 1]]` are the distinct composite slots with
+/// a spec dependency into slot `c`. It is built in one O(V + E) pass, and a
+/// query is one backward walk over the lists plus the member collection.
 #[derive(Debug, Clone)]
 pub struct ViewProvenanceIndex {
-    induced: wolves_workflow::view::InducedViewGraph,
-    view_reach: ReachMatrix,
+    offsets: Vec<u32>,
+    preds: Vec<u32>,
 }
 
+/// Marks a task slot that belongs to no composite.
+const NO_COMPOSITE: u32 = u32::MAX;
+
 impl ViewProvenanceIndex {
-    /// Builds the index: the induced view graph plus its reachability
-    /// matrix.
+    /// Builds the index: every cross-composite dependency of `spec`, mapped
+    /// to its composite slots, counting-sorted by target and deduplicated.
+    /// Tombstoned task and composite slots get empty lists.
     #[must_use]
     pub fn new(spec: &WorkflowSpec, view: &WorkflowView) -> Self {
-        let induced = view.induced_graph(spec);
-        // CSR-routed build: one frozen adjacency snapshot feeds SCC,
-        // condensation and the blocked-kernel closure propagation
-        let view_reach =
-            ReachMatrix::build_from_csr(&wolves_graph::Csr::from_graph(&induced.graph));
+        let slots = view.composite_slot_count();
+        let slot = |index: usize| u32::try_from(index).expect("composite slot fits in u32");
+        let mut composite_of = vec![NO_COMPOSITE; spec.graph().node_bound()];
+        for (id, composite) in view.composites() {
+            for &member in composite.members() {
+                if let Some(cell) = composite_of.get_mut(member.index()) {
+                    *cell = slot(id.index());
+                }
+            }
+        }
+        // cross-composite dependencies, counted per target slot (shifted by
+        // one so the prefix sum below yields each target's start)
+        let mut starts = vec![0u32; slots + 1];
+        let mut pairs: Vec<(u32, u32)> = Vec::new();
+        for (from, to) in spec.dependencies() {
+            let (source, target) = (composite_of[from.index()], composite_of[to.index()]);
+            if source != target && source != NO_COMPOSITE && target != NO_COMPOSITE {
+                starts[target as usize + 1] += 1;
+                pairs.push((source, target));
+            }
+        }
+        for i in 1..starts.len() {
+            starts[i] += starts[i - 1];
+        }
+        let mut sorted = vec![0u32; pairs.len()];
+        let mut cursor = starts.clone();
+        for (source, target) in pairs {
+            let at = &mut cursor[target as usize];
+            sorted[*at as usize] = source;
+            *at += 1;
+        }
+        // compact each target's run in place, keeping the first occurrence
+        // of every source: `stamp[source]` is the last target it was kept for
+        let mut stamp = vec![NO_COMPOSITE; slots];
+        let mut offsets = Vec::with_capacity(slots + 1);
+        offsets.push(0);
+        let mut kept = 0usize;
+        for target in 0..slots {
+            for read in starts[target] as usize..starts[target + 1] as usize {
+                let source = sorted[read];
+                if stamp[source as usize] != slot(target) {
+                    stamp[source as usize] = slot(target);
+                    sorted[kept] = source;
+                    kept += 1;
+                }
+            }
+            offsets.push(slot(kept));
+        }
+        sorted.truncate(kept);
         ViewProvenanceIndex {
-            induced,
-            view_reach,
+            offsets,
+            preds: sorted,
         }
     }
 
-    /// Answers the same question as [`view_level_provenance`], from the
-    /// index: every composite with a view-level path **to** the subject's
-    /// composite (the subject's own composite included exactly when it lies
-    /// on a view-level cycle), expanded to member tasks. `edges_traversed`
-    /// is 0 — no edges are walked.
+    /// The composite slots with a dependency into `slot` (empty for
+    /// tombstoned or unknown slots).
+    fn preds_of(&self, slot: usize) -> &[u32] {
+        match (self.offsets.get(slot), self.offsets.get(slot + 1)) {
+            (Some(&start), Some(&end)) => &self.preds[start as usize..end as usize],
+            _ => &[],
+        }
+    }
+
+    /// Answers the same question as [`view_level_provenance`], with the
+    /// same walk over the index's predecessor lists: every composite with a
+    /// view-level path **to** the subject's composite (the subject's own
+    /// composite included exactly when the walk reaches it again, i.e. when
+    /// it lies on a view-level cycle), expanded to member tasks.
+    /// `edges_traversed` counts the view-level edges walked.
     #[must_use]
     pub fn provenance(&self, view: &WorkflowView, subject: TaskId) -> ProvenanceAnswer {
-        let Some(start_composite) = view.composite_of(subject) else {
+        let Some(start) = view.composite_of(subject) else {
             return ProvenanceAnswer {
                 subject,
                 tasks: BTreeSet::new(),
@@ -118,22 +176,29 @@ impl ViewProvenanceIndex {
                 edges_traversed: 0,
             };
         };
-        let mut composites: BTreeSet<CompositeTaskId> = BTreeSet::new();
-        if let Some(start_node) = self.induced.node_of(start_composite) {
-            for (id, _) in view.composites() {
-                let Some(node) = self.induced.node_of(id) else {
-                    continue;
-                };
-                // strictly_reachable makes the self query come out true only
-                // when the composite sits on a view-level cycle, matching
-                // the backward traversal of `view_level_provenance`
-                if self.view_reach.strictly_reachable(node, start_node) {
-                    composites.insert(id);
+        let mut seen = vec![false; self.offsets.len().saturating_sub(1)];
+        let mut reached: Vec<usize> = Vec::new();
+        let mut stack = vec![start.index()];
+        let mut edges = 0usize;
+        while let Some(slot) = stack.pop() {
+            let preds = self.preds_of(slot);
+            edges += preds.len();
+            for &pred in preds {
+                let pred = pred as usize;
+                if !seen[pred] {
+                    seen[pred] = true;
+                    reached.push(pred);
+                    stack.push(pred);
                 }
             }
         }
-        let mut tasks: BTreeSet<TaskId> = BTreeSet::new();
-        if let Ok(own) = view.composite(start_composite) {
+        reached.sort_unstable();
+        let composites = reached
+            .iter()
+            .map(|&slot| CompositeTaskId::from_index(slot))
+            .collect::<Vec<_>>();
+        let mut tasks: Vec<TaskId> = Vec::new();
+        if let Ok(own) = view.composite(start) {
             tasks.extend(own.members().iter().copied().filter(|&t| t != subject));
         }
         for &composite in &composites {
@@ -141,11 +206,14 @@ impl ViewProvenanceIndex {
                 tasks.extend(c.members().iter().copied());
             }
         }
+        // the start composite's members appear twice when it is reached
+        tasks.sort_unstable();
+        tasks.dedup();
         ProvenanceAnswer {
             subject,
-            tasks,
-            composites,
-            edges_traversed: 0,
+            tasks: tasks.into_iter().collect(),
+            composites: composites.into_iter().collect(),
+            edges_traversed: edges,
         }
     }
 }
@@ -308,6 +376,10 @@ mod tests {
                 indexed.composites, walked.composites,
                 "composites for {subject:?}"
             );
+            assert_eq!(
+                indexed.edges_traversed, walked.edges_traversed,
+                "edges for {subject:?}"
+            );
         }
     }
 
@@ -342,6 +414,10 @@ mod tests {
             assert_eq!(indexed.composites, walked.composites);
             // both composites sit on the view-level cycle, so both appear
             assert_eq!(indexed.composites.len(), 2);
+            // the walk takes a <- b, b <- a, then a's list once more when
+            // it reaches its start composite again
+            assert_eq!(indexed.edges_traversed, 3);
+            assert_eq!(indexed.edges_traversed, walked.edges_traversed);
         }
     }
 }

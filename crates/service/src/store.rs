@@ -20,9 +20,12 @@
 //!   reachability rows the edit dirtied (plus the edit's endpoints, whose
 //!   boundaries may have moved); every other cached verdict is re-tagged to
 //!   the new epoch and keeps serving hits.
-//! * **Provenance index caching** — the per-view [`ViewProvenanceIndex`] is
-//!   epoch-tagged too and survives mutations that cannot change the induced
-//!   view graph (e.g. edges added inside one composite).
+//! * **Provenance index caching** — the per-view [`ViewProvenanceIndex`]
+//!   (the induced view graph as flat composite predecessor lists, built in
+//!   one O(V + E) pass) is epoch-tagged too and survives mutations that
+//!   cannot change the induced view graph (e.g. edges added inside one
+//!   composite); each rebuild counts in
+//!   `wolves_provenance_index_builds_total`.
 //!
 //! Corrections still append the corrected view as a new immutable version.
 //! Mutations never write to a spec a reader can see. A spec edit lands on
@@ -163,8 +166,9 @@ struct CachedVerdict {
 struct StoredView {
     view: Arc<WorkflowView>,
     verdicts: RwLock<HashMap<CompositeTaskId, CachedVerdict>>,
-    /// Matrix-backed provenance index, built on first provenance query and
-    /// reused until a mutation that can change the induced view graph.
+    /// Provenance index (composite predecessor lists), built on first
+    /// provenance query and reused until a mutation that can change the
+    /// induced view graph.
     provenance: RwLock<Option<(u64, Arc<ViewProvenanceIndex>)>>,
 }
 
@@ -253,6 +257,10 @@ struct ShardMetrics {
     /// Spec edits that had to clone a spec (no trailing spare, or a reader
     /// still held the one it had), exposed as `wolves_spec_clones_total`.
     spec_clones: AtomicU64,
+    /// Provenance indexes built by the provenance path (first query after
+    /// registration or after an edit that dropped the cached index),
+    /// exposed as `wolves_provenance_index_builds_total`.
+    provenance_index_builds: AtomicU64,
     /// Per-verb latency histograms; the `stats` wire field `validate_ns`
     /// is derived from the validate histogram's sum (the old lossy summed
     /// counter is gone).
@@ -1640,10 +1648,10 @@ impl WorkflowStore {
     /// deterministic (task-id) order.
     ///
     /// Served off the epoch-tagged per-view [`ViewProvenanceIndex`]: the
-    /// induced view graph and its reachability matrix are built once and
-    /// survive both repeated queries and mutations that cannot change the
-    /// induced graph; every query is row lookups, no per-request graph
-    /// construction.
+    /// induced view graph's composite predecessor lists are built once, in
+    /// one O(V + E) pass, and survive both repeated queries and mutations
+    /// that cannot change the induced graph; every query is one backward
+    /// walk over the lists, no per-request graph construction.
     ///
     /// # Errors
     /// Reports unknown workflows and task names.
@@ -1654,6 +1662,7 @@ impl WorkflowStore {
         let task = spec
             .task_by_name(subject)
             .ok_or_else(|| ServiceError::UnknownTask(subject.to_owned()))?;
+        let metrics = &self.shard_of(id).metrics;
         let cached = stored
             .provenance
             .read()
@@ -1666,6 +1675,9 @@ impl WorkflowStore {
                 let compute_start = Instant::now();
                 let built = Arc::new(ViewProvenanceIndex::new(&spec, &stored.view));
                 compute_ns = duration_ns(compute_start.elapsed());
+                metrics
+                    .provenance_index_builds
+                    .fetch_add(1, Ordering::Relaxed);
                 let mut slot = stored.provenance.write();
                 match slot.as_ref() {
                     // don't clobber an index a fresher epoch already cached
@@ -1686,10 +1698,7 @@ impl WorkflowStore {
             (Stage::CacheLookup, total_ns.saturating_sub(compute_ns)),
             (Stage::Compute, compute_ns),
         ];
-        self.shard_of(id)
-            .metrics
-            .verbs
-            .record(Verb::Provenance, total_ns);
+        metrics.verbs.record(Verb::Provenance, total_ns);
         self.telemetry.record_spans(&spans);
         self.telemetry
             .offer_slow(Verb::Provenance, Some(id.0), total_ns, &spans);
@@ -1801,6 +1810,7 @@ impl WorkflowStore {
         let mut queue_depth = 0u64;
         let mut mutation_classes = [0u64; 5];
         let mut spec_clones = 0u64;
+        let mut provenance_index_builds = 0u64;
         for shard in &self.shards {
             workflows += shard.state.load().entries.len() as u64;
             validate_hits += shard.metrics.validate_hits.load(Ordering::Relaxed);
@@ -1815,6 +1825,10 @@ impl WorkflowStore {
             mutation_classes[3] += shard.metrics.mutations_structural.load(Ordering::Relaxed);
             mutation_classes[4] += shard.metrics.mutations_view_edit.load(Ordering::Relaxed);
             spec_clones += shard.metrics.spec_clones.load(Ordering::Relaxed);
+            provenance_index_builds += shard
+                .metrics
+                .provenance_index_builds
+                .load(Ordering::Relaxed);
             snapshot_publishes += shard.state.publish_count();
             let watchers = shard.watchers.lock();
             active_watchers += watchers.len() as u64;
@@ -1869,6 +1883,12 @@ impl WorkflowStore {
             );
         }
         write_sample(&mut out, "wolves_spec_clones_total", &[], spec_clones);
+        write_sample(
+            &mut out,
+            "wolves_provenance_index_builds_total",
+            &[],
+            provenance_index_builds,
+        );
         write_sample(
             &mut out,
             "wolves_snapshot_publishes_total",
@@ -2423,14 +2443,19 @@ mod tests {
         }
     }
 
-    fn spec_clones(store: &WorkflowStore) -> u64 {
+    /// The value of one unlabelled counter in the metrics exposition.
+    fn counter(store: &WorkflowStore, name: &str) -> u64 {
         store
             .metrics_text()
             .lines()
-            .find_map(|line| line.strip_prefix("wolves_spec_clones_total "))
-            .expect("spec clone counter exposed")
+            .find_map(|line| line.strip_prefix(name)?.strip_prefix(' '))
+            .unwrap_or_else(|| panic!("{name} exposed"))
             .parse()
             .unwrap()
+    }
+
+    fn spec_clones(store: &WorkflowStore) -> u64 {
+        counter(store, "wolves_spec_clones_total")
     }
 
     #[test]
@@ -3510,8 +3535,15 @@ mod tests {
         let store = WorkflowStore::new(1);
         let fixture = figure1();
         let id = store.register(fixture.spec, Some(fixture.view));
+        let builds = || counter(&store, "wolves_provenance_index_builds_total");
+        assert_eq!(builds(), 0);
         let before = store.provenance(id, "Create alignment").unwrap();
         assert!(!before.contains(&"Check additional annotations".to_owned()));
+        assert_eq!(builds(), 1);
+        // repeated queries ride the cached index
+        store.provenance(id, "Display tree").unwrap();
+        store.provenance(id, "Create alignment").unwrap();
+        assert_eq!(builds(), 1);
 
         // internal edge (both endpoints in 'Build Phylo Tree (19)', already
         // connected): the induced view graph is unchanged, the cached index
@@ -3520,16 +3552,140 @@ mod tests {
             .mutate(id, add_edge("Check additional annotations", "Display tree"))
             .unwrap();
         assert_eq!(store.provenance(id, "Create alignment").unwrap(), before);
+        assert_eq!(builds(), 1);
 
         // a cross-composite edge 19 -> 15 rewires the induced graph: the
-        // index is rebuilt and the provenance answer gains 19's tasks
+        // index is rebuilt on the next query (not by the edit itself) and
+        // the provenance answer gains 19's tasks
         store
             .mutate(
                 id,
                 add_edge("Process additional annotations", "Extract sequences"),
             )
             .unwrap();
+        assert_eq!(builds(), 1);
         let after = store.provenance(id, "Create alignment").unwrap();
         assert!(after.contains(&"Check additional annotations".to_owned()));
+        assert_eq!(builds(), 2);
+        store.provenance(id, "Display tree").unwrap();
+        assert_eq!(builds(), 2);
+    }
+
+    /// The next step of a seeded edit script that exercises every way an
+    /// edit can treat the provenance index: edges inside one composite
+    /// (the index survives), edges across composites, task additions and
+    /// removals, splits and merges (the index is dropped). Some edits fail
+    /// (duplicate or absent edges); a failed edit changes nothing.
+    fn next_view_edit(
+        rng: &mut Seeded,
+        spec: &WorkflowSpec,
+        view: &WorkflowView,
+        cyclic: bool,
+        fresh: &mut usize,
+    ) -> MutateOp {
+        let name = |task: TaskId| spec.task(task).unwrap().name.clone();
+        let orient = |a: TaskId, b: TaskId| {
+            if cyclic || a.index() <= b.index() {
+                (a, b)
+            } else {
+                (b, a)
+            }
+        };
+        let composites: Vec<(&str, Vec<TaskId>)> = view
+            .composites()
+            .map(|(_, c)| (c.name.as_str(), c.members().iter().copied().collect()))
+            .collect();
+        let pick = |rng: &mut Seeded| &composites[rng.below(composites.len())];
+        let tasks: Vec<TaskId> = spec.task_ids().collect();
+        let deps: Vec<(TaskId, TaskId)> = spec.dependencies().collect();
+        match rng.below(10) {
+            0 | 1 => {
+                // inside one composite
+                let (_, members) = pick(rng);
+                let a = members[rng.below(members.len())];
+                let b = members[rng.below(members.len())];
+                let (from, to) = orient(a, b);
+                if rng.below(2) == 0 {
+                    add_edge(&name(from), &name(to))
+                } else {
+                    remove_edge(&name(from), &name(to))
+                }
+            }
+            2 | 3 => {
+                let (from, to) =
+                    orient(tasks[rng.below(tasks.len())], tasks[rng.below(tasks.len())]);
+                add_edge(&name(from), &name(to))
+            }
+            4 | 5 if !deps.is_empty() => {
+                let (from, to) = deps[rng.below(deps.len())];
+                remove_edge(&name(from), &name(to))
+            }
+            6 => {
+                *fresh += 1;
+                MutateOp::AddTask {
+                    name: format!("n{fresh}"),
+                }
+            }
+            7 if tasks.len() > 6 => MutateOp::RemoveTask {
+                name: name(tasks[rng.below(tasks.len())]),
+            },
+            8 => {
+                // a cut at the end leaves one part: a no-op split
+                let (composite, members) = pick(rng);
+                let (head, tail) = members.split_at(1 + rng.below(members.len()));
+                let parts = [head, tail]
+                    .into_iter()
+                    .filter(|part| !part.is_empty())
+                    .map(|part| part.iter().map(|&t| name(t)).collect())
+                    .collect();
+                MutateOp::Split {
+                    composite: (*composite).to_owned(),
+                    parts,
+                }
+            }
+            _ => {
+                *fresh += 1;
+                let mut merged = vec![pick(rng).0.to_owned(), pick(rng).0.to_owned()];
+                merged.dedup();
+                MutateOp::Merge {
+                    name: format!("m{fresh}"),
+                    composites: merged,
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn served_provenance_matches_the_view_walk_after_every_edit() {
+        for (seed, cyclic) in [(7, false), (8, true)] {
+            let mut rng = Seeded(seed);
+            let (spec, view) = seeded_workflow(&mut rng, 30, cyclic);
+            let store = WorkflowStore::new(1);
+            let id = store.register(spec, Some(view));
+            let mut fresh = 0;
+            for step in 0..120 {
+                let op = {
+                    let (spec, stored, ..) = store.snapshot(id, None).unwrap();
+                    next_view_edit(&mut rng, &spec, &stored.view, cyclic, &mut fresh)
+                };
+                let _ = store.mutate(id, op.clone());
+                let (spec, stored, ..) = store.snapshot(id, None).unwrap();
+                for subject in spec.task_ids() {
+                    let walked =
+                        wolves_provenance::view_level_provenance(&spec, &stored.view, subject);
+                    let expected: Vec<String> = walked
+                        .tasks
+                        .iter()
+                        .map(|&t| spec.task(t).unwrap().name.clone())
+                        .collect();
+                    let name = &spec.task(subject).unwrap().name;
+                    assert_eq!(
+                        store.provenance(id, name).unwrap(),
+                        expected,
+                        "seed {seed} step {step} after {op:?}: subject {name}"
+                    );
+                }
+            }
+        }
     }
 }

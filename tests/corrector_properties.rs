@@ -1,6 +1,7 @@
 //! Property-based integration tests: the soundness and optimality
 //! guarantees of the correctors must hold on arbitrary small DAG workflows,
-//! not just on the paper's examples.
+//! not just on the paper's examples, and the served provenance index must
+//! answer like the induced-graph walk on DAG and cyclic specs.
 
 use std::collections::BTreeSet;
 
@@ -10,6 +11,7 @@ use wolves::core::correct::check::{
 };
 use wolves::core::correct::{Corrector, OptimalCorrector, StrongCorrector, WeakCorrector};
 use wolves::core::validate::{validate, validate_by_definition};
+use wolves::provenance::{view_level_provenance, ViewProvenanceIndex};
 use wolves::workflow::{AtomicTask, DataDependency, TaskId, WorkflowSpec, WorkflowView};
 
 /// A random small DAG workflow: nodes 0..n with edges oriented from lower to
@@ -52,8 +54,88 @@ fn arbitrary_workflow() -> impl Strategy<Value = (WorkflowSpec, Vec<TaskId>)> {
         })
 }
 
+/// A random spec over up to 13 tasks — a DAG, or with random edge
+/// orientations so that cycles form — under a random partition view, after
+/// a few edits that leave tombstoned task and composite slots behind: task
+/// removals (spec and view together), composite splits and merges.
+fn arbitrary_edited_view() -> impl Strategy<Value = (WorkflowSpec, WorkflowView)> {
+    (
+        (4usize..14, 0u8..=1),
+        proptest::collection::vec((0usize..14, 0usize..14), 2..30),
+        proptest::collection::vec(0usize..5, 14..15),
+        proptest::collection::vec((0u8..3, 0usize..14, 0usize..14), 0..5),
+    )
+        .prop_map(|((n, cyclic), raw_edges, group_of, edits)| {
+            let mut spec = WorkflowSpec::new("prop-edited");
+            let tasks: Vec<TaskId> = (0..n)
+                .map(|i| spec.add_task(AtomicTask::new(format!("t{i}"))).unwrap())
+                .collect();
+            for (a, b) in raw_edges {
+                let (from, to) = if cyclic == 1 || a < b { (a, b) } else { (b, a) };
+                if from != to && from < n && to < n {
+                    let _ = spec.add_dependency(tasks[from], tasks[to], DataDependency::unnamed());
+                }
+            }
+            let mut groups: Vec<(String, Vec<TaskId>)> =
+                (0..5).map(|g| (format!("g{g}"), Vec::new())).collect();
+            for (i, &task) in tasks.iter().enumerate() {
+                groups[group_of[i]].1.push(task);
+            }
+            groups.retain(|(_, members)| !members.is_empty());
+            let mut view = WorkflowView::from_groups(&spec, "prop-partition", groups).unwrap();
+            for (step, (kind, a, b)) in edits.into_iter().enumerate() {
+                let live: Vec<TaskId> = spec.task_ids().collect();
+                let composites: Vec<_> = view.composite_ids().collect();
+                match kind {
+                    0 if live.len() > 2 => {
+                        let task = live[a % live.len()];
+                        view.remove_member(task).unwrap();
+                        spec.remove_task(task).unwrap();
+                    }
+                    1 => {
+                        let splittable: Vec<_> = view
+                            .composites()
+                            .filter(|(_, c)| c.len() > 1)
+                            .map(|(id, c)| (id, c.members().iter().copied().collect::<Vec<_>>()))
+                            .collect();
+                        if let Some((id, members)) = splittable.get(a % splittable.len().max(1)) {
+                            let (head, rest) = members.split_at(1 + b % (members.len() - 1));
+                            view.split_composite(*id, vec![head.to_vec(), rest.to_vec()])
+                                .unwrap();
+                        }
+                    }
+                    _ if composites.len() > 1 => {
+                        let first = composites[a % composites.len()];
+                        let second = composites[b % composites.len()];
+                        if first != second {
+                            view.merge_composites(&[first, second], format!("m{step}"))
+                                .unwrap();
+                        }
+                    }
+                    _ => {}
+                }
+            }
+            (spec, view)
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The predecessor-list index answers every live subject exactly like
+    /// the induced-graph walk — tasks, composites and edges traversed —
+    /// on DAG and cyclic specs, across tombstoned task and composite slots.
+    #[test]
+    fn provenance_index_matches_the_view_walk((spec, view) in arbitrary_edited_view()) {
+        let index = ViewProvenanceIndex::new(&spec, &view);
+        for subject in spec.task_ids() {
+            let walked = view_level_provenance(&spec, &view, subject);
+            let indexed = index.provenance(&view, subject);
+            prop_assert_eq!(&indexed.tasks, &walked.tasks, "tasks for {:?}", subject);
+            prop_assert_eq!(&indexed.composites, &walked.composites, "composites for {:?}", subject);
+            prop_assert_eq!(indexed.edges_traversed, walked.edges_traversed, "edges for {:?}", subject);
+        }
+    }
 
     /// Every corrector output is a sound partition of the composite; the
     /// weak output satisfies Definition 2.5, the strong output Definition
